@@ -52,8 +52,9 @@ class DimAccess:
         """Concrete number of indices needed along this dimension."""
         if self.full or not self.intervals:
             return float(dim_size)
-        low = min(i.evaluate(extents)[0] for i in self.intervals)
-        high = max(i.evaluate(extents)[1] for i in self.intervals)
+        bounds = [interval.evaluate(extents) for interval in self.intervals]
+        low = min(bound[0] for bound in bounds)
+        high = max(bound[1] for bound in bounds)
         length = max(1.0, high - low)
         return min(float(dim_size), length)
 

@@ -133,12 +133,9 @@ class CommunicationCostModel:
         return profile
 
     def _signature(self, node: OpNode, parts: int) -> Tuple:
-        in_sig = tuple(
-            (self.shapes[t], self.graph.tensor(t).dtype) for t in node.inputs
-        )
-        out_sig = tuple(
-            (self.shapes[t], self.graph.tensor(t).dtype) for t in node.outputs
-        )
+        shapes, specs = self.shapes, self.graph.tensors
+        in_sig = tuple((shapes[t], specs[t].dtype) for t in node.inputs)
+        out_sig = tuple((shapes[t], specs[t].dtype) for t in node.outputs)
         return (node.op, in_sig, out_sig, parts, self.allow_reduction)
 
     def _build_profile(self, node: OpNode, signature: Tuple, parts: int) -> NodeProfile:
@@ -262,15 +259,7 @@ class CommunicationCostModel:
         profile = self.node_profile(node_name, parts)
         in_dims = [tensor_dims.get(t, 0) for t in node.inputs]
         out_dims = [tensor_dims.get(t, 0) for t in node.outputs]
-        best_axis = profile.strategies[0].axis
-        best_cost = float("inf")
-        for strategy in profile.strategies:
-            fetch, redistribute = _strategy_cost(strategy, in_dims, out_dims, parts)
-            cost = fetch + redistribute
-            if cost < best_cost:
-                best_cost = cost
-                best_axis = strategy.axis
-        result = (best_axis, best_cost)
+        result = best_strategy(profile, in_dims, out_dims, parts)
         self._node_cost_cache[cache_key] = result
         return result
 
@@ -311,6 +300,29 @@ class CommunicationCostModel:
             strategies[node_name] = axis
             total += cost
         return total, strategies
+
+
+def best_strategy(
+    profile: NodeProfile,
+    in_dims: Sequence[int],
+    out_dims: Sequence[int],
+    parts: int,
+) -> Tuple[str, float]:
+    """Cheapest strategy of ``profile`` under one dimension assignment.
+
+    The result depends only on the profile and the dims, so every node that
+    shares a profile shares the answer (the DP tabulates it per profile).
+    Ties keep the earliest strategy.
+    """
+    best_axis = profile.strategies[0].axis
+    best_cost = float("inf")
+    for strategy in profile.strategies:
+        fetch, redistribute = _strategy_cost(strategy, in_dims, out_dims, parts)
+        cost = fetch + redistribute
+        if cost < best_cost:
+            best_cost = cost
+            best_axis = strategy.axis
+    return best_axis, best_cost
 
 
 def _strategy_cost(

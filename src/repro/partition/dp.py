@@ -13,36 +13,105 @@ tiny, which is what makes the search fast.
 comparison point: every tensor group chooses a full multi-step configuration
 (a tuple of dimensions) at once, which blows up the per-group search space
 exactly as the paper describes.
+
+The DP runs on a compiled core (:class:`_FrontierCore`).  Each op group is
+compiled once, against the frontier it is entered with, into index lists
+over tuples: a state is the tuple of its frontier groups' configurations in
+tensor-group id order, and the carried-plus-decided ("local") configurations
+and the next state are both ``itemgetter`` projections of ``state + combo``.
+A group's cost is a sum of per-node costs read from strategy-cost tables,
+one per operator profile and filled lazily, keyed by the clamped dimension
+tuple; structurally identical operators share a profile and so share a
+table.  Nodes with the same profile at every step form one node kind, and
+a kind's per-step costs are memoised on the raw configurations of its
+tensor slots, across all op groups.
+Plans are bit-identical to the dict-based reference DP kept in
+``tests/partition/reference_dp.py``: node costs are added left to right in
+(step, member) order, a state replaces an equal-keyed one only at strictly
+lower cost, and the ``max_states`` prune is a stable sort.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from operator import add, itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro import perf
 from repro.errors import PartitionError
 from repro.graph.graph import Graph
+from repro.graph.node import OpNode
 from repro.partition.coarsen import CoarsenedGraph, coarsen
-from repro.partition.cost import CommunicationCostModel
+from repro.partition.cost import CommunicationCostModel, NodeProfile, best_strategy
 from repro.partition.plan import PartitionPlan, StepAssignment, factorize_workers
 
 Config = Tuple[int, ...]  # one dimension per step
-
-#: Minimum (states x combos) expansions at one op group before the parallel
-#: path engages; below it the thread handoff costs more than the work.
-PARALLEL_MIN_EXPANSIONS = 64
+State = Tuple[Config, ...]  # frontier configurations in tensor-group id order
+CostTable = Dict[Tuple[int, ...], Tuple[str, float]]  # clamped dims -> best
 
 
 class SearchBudgetExceeded(PartitionError):
     """Raised when ``joint_partition`` exceeds its time budget."""
 
 
+def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``src -> tuple(src[p] for p in positions)``, as a C-level call where
+    possible (a bare ``itemgetter`` of one position returns the item)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (only,) = positions
+        return lambda src: (src[only],)
+    return lambda src: ()
+
+
 # ---------------------------------------------------------------------------
-# Shared frontier-DP machinery
+# Compiled frontier-DP core
 # ---------------------------------------------------------------------------
-class _FrontierDP:
+class _NodeKind(NamedTuple):
+    """Operators with the same profile at every step.
+
+    They cost the same under the same configurations of their tensors,
+    wherever they sit, so one ``memo`` (raw slot configurations -> per-step
+    costs) serves every such node of the search.  ``caps`` holds each
+    tensor slot's last dimension index (``ndim - 1``), so clamping is one
+    ``min``; the profiles fix both the caps and the input count.
+    """
+
+    memo: Dict[State, Tuple[float, ...]]
+    caps: Tuple[int, ...]
+    num_inputs: int
+    steps: List[Tuple[CostTable, NodeProfile, int]]  # (table, profile, parts)
+
+
+class _GroupLayout(NamedTuple):
+    """One op group compiled against the frontier layout it is entered with.
+
+    ``local_of`` and ``next_of`` project ``state + combo`` onto the group's
+    carried-then-decided configurations and onto the next state.  Internal
+    tensor groups take configuration ``ref_pos`` of ``local + tail``.
+    ``classes`` pairs a slot getter over that vector with a node kind, and
+    ``order`` indexes the flat per-(class, step) costs in the (step, member)
+    order of the additions.
+    """
+
+    decision_tgs: List[int]
+    internal_tgs: List[int]
+    combos: List[State]
+    local_of: Callable[[State], State]
+    next_of: Callable[[State], State]
+    next_frontier: List[int]
+    tail: State
+    ref_pos: int
+    members: List[str]
+    classes: List[Tuple[Callable[[State], State], _NodeKind]]
+    class_of_member: List[int]
+    order: List[int]
+
+
+class _FrontierCore:
     def __init__(
         self,
         graph: Graph,
@@ -52,7 +121,6 @@ class _FrontierDP:
         parts_per_step: Sequence[int],
         max_states: int = 256,
         time_limit: Optional[float] = None,
-        expand_jobs: int = 1,
     ) -> None:
         self.graph = graph
         self.coarse = coarse
@@ -61,9 +129,14 @@ class _FrontierDP:
         self.num_steps = len(self.parts_per_step)
         self.max_states = max_states
         self.time_limit = time_limit
-        self.expand_jobs = max(1, expand_jobs)
-        self._start = time.time()
-        self._group_cost_cache: Dict[Tuple, Tuple[float, Dict[str, Config]]] = {}
+        self._start = time.perf_counter()
+        self._zero: Config = tuple([0] * self.num_steps)
+        self._tg_bytes: Dict[int, float] = {}
+        # Strategy-cost tables, one per NodeProfile (keyed by identity: the
+        # cost model keeps every profile alive for the whole search).
+        self._tables: Dict[int, CostTable] = {}
+        self._kinds: Dict[Tuple[int, ...], _NodeKind] = {}
+        self.cost_evals = 0
 
         self.first_toucher: Dict[int, int] = {}
         self.last_toucher: Dict[int, int] = {}
@@ -91,238 +164,250 @@ class _FrontierDP:
         touchers = self.coarse.touchers_of.get(tg, [])
         return len(touchers) > 1 or group.persistent
 
+    def _group_bytes(self, tg: int) -> float:
+        size = self._tg_bytes.get(tg)
+        if size is None:
+            # Plain sum() in member order: the reference-configuration
+            # tie-break compares these floats, so the order must not change.
+            size = sum(
+                self.cost_model.tensor_bytes(m)
+                for m in self.coarse.tensor_group(tg).members
+            )
+            self._tg_bytes[tg] = size
+        return size
+
     # ----------------------------------------------------------------- solve
     def solve(self) -> Tuple[float, Dict[str, Config], Dict[str, str]]:
-        """Run the DP; returns (cost, per-tensor config, per-node strategy).
-
-        With ``expand_jobs > 1`` the per-group state expansion fans contiguous
-        chunks of the frontier across a thread pool.  The result is
-        bit-identical to the serial walk: chunks preserve state order, the
-        merge keeps an earlier chunk's entry on cost ties (exactly the serial
-        ``total < best`` rule), and per-pair costs are single additions with
-        no accumulation order to perturb.
-        """
-        op_groups = self.coarse.op_groups
-        # states: frontier key -> (cost, state index)
-        states: Dict[Tuple, float] = {(): 0.0}
-        backptr: List[Dict[Tuple, Tuple[Tuple, Dict[int, Config]]]] = []
-        pool = (
-            ThreadPoolExecutor(max_workers=self.expand_jobs)
-            if self.expand_jobs > 1
-            else None
-        )
-        try:
-            for group in op_groups:
-                if (
-                    self.time_limit is not None
-                    and time.time() - self._start > self.time_limit
-                ):
-                    raise SearchBudgetExceeded(
-                        f"partition search exceeded {self.time_limit:.0f}s budget"
-                    )
-                gid = group.gid
-                touched = self.coarse.touched_by[gid]
-                decision_tgs = [
-                    tg
-                    for tg in touched
-                    if self.first_toucher[tg] == gid and self._is_decision_group(tg)
-                ]
-                internal_tgs = [
-                    tg
-                    for tg in touched
-                    if self.first_toucher[tg] == gid
-                    and not self._is_decision_group(tg)
-                ]
-                carried_tgs = [tg for tg in touched if self.first_toucher[tg] != gid]
-                dropped = {tg for tg in touched if self.last_toucher[tg] == gid}
-
-                candidates = {tg: self.group_candidates(tg) for tg in decision_tgs}
-                combos = list(
-                    itertools.product(*(candidates[tg] for tg in decision_tgs))
+        """Run the DP; returns (cost, per-tensor config, per-node strategy)."""
+        states: Dict[State, float] = {(): 0.0}
+        frontier: List[int] = []
+        trail: List[Tuple[_GroupLayout, Dict[State, Tuple[State, State]]]] = []
+        for group in self.coarse.op_groups:
+            if (
+                self.time_limit is not None
+                and time.perf_counter() - self._start > self.time_limit
+            ):
+                raise SearchBudgetExceeded(
+                    f"partition search exceeded {self.time_limit:.0f}s budget"
                 )
+            evals_before = self.cost_evals
+            layout = self._layout(group.gid, frontier)
+            new_states, pointers = self._expand(states, layout)
+            perf.count("planner.dp.states_expanded", len(states))
+            perf.count("planner.dp.cost_evals", self.cost_evals - evals_before)
 
-                context = (
-                    gid,
-                    combos,
-                    decision_tgs,
-                    carried_tgs,
-                    internal_tgs,
-                    dropped,
-                )
-                if (
-                    pool is not None
-                    and len(states) > 1
-                    and len(states) * max(1, len(combos)) >= PARALLEL_MIN_EXPANSIONS
-                ):
-                    new_states, pointers = self._expand_parallel(pool, states, context)
-                else:
-                    new_states, pointers = self._expand_chunk(
-                        list(states.items()), context
-                    )
-
-                if not new_states:
-                    raise PartitionError(f"DP produced no states at group {gid}")
-                if len(new_states) > self.max_states:
-                    kept = sorted(new_states.items(), key=lambda kv: kv[1])[
-                        : self.max_states
-                    ]
-                    new_states = dict(kept)
-                    pointers = {k: pointers[k] for k, _ in kept}
-                states = new_states
-                backptr.append(pointers)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+            if not new_states:
+                raise PartitionError(f"DP produced no states at group {group.gid}")
+            if len(new_states) > self.max_states:
+                kept = sorted(new_states.items(), key=lambda kv: kv[1])[
+                    : self.max_states
+                ]
+                new_states = dict(kept)
+                pointers = {k: pointers[k] for k, _ in kept}
+            states = new_states
+            frontier = layout.next_frontier
+            trail.append((layout, pointers))
 
         # ------------------------------------------------------------ recover
-        best_key = min(states, key=lambda k: states[k])
+        # Walk the best path back: each group's configuration vector on it
+        # fixes its decided and internal tensor groups and, through the
+        # step-0 tables, the strategy of every member node.
+        best_key = min(states, key=states.__getitem__)
         best_cost = states[best_key]
+        evals_before = self.cost_evals
         tg_config: Dict[int, Config] = {}
+        axis_of: Dict[str, str] = {}
         key = best_key
-        for pointers in reversed(backptr):
-            prev_key, decided = pointers[key]
-            for tg, cfg in decided.items():
+        for layout, pointers in reversed(trail):
+            state, combo = pointers[key]
+            for tg, cfg in zip(layout.decision_tgs, combo):
                 tg_config.setdefault(tg, cfg)
-            key = prev_key
+            cfgs = layout.local_of(state + combo) + layout.tail
+            for tg in layout.internal_tgs:
+                tg_config.setdefault(tg, cfgs[layout.ref_pos])
+            axes = [
+                self._entry(kind, 0, key_of(cfgs))[0]
+                for key_of, kind in layout.classes
+            ]
+            for node_name, index in zip(layout.members, layout.class_of_member):
+                axis_of[node_name] = axes[index]
+            key = state
+        perf.count("planner.dp.cost_evals", self.cost_evals - evals_before)
+        strategies = {node_name: axis_of[node_name] for node_name in self.graph.nodes}
 
         tensor_config: Dict[str, Config] = {}
         for tg, cfg in tg_config.items():
             for member in self.coarse.tensor_group(tg).members:
                 tensor_config[member] = self._clamp(member, cfg)
         # Tensors never decided (untouched by any node) default to dim 0.
-        default = tuple([0] * self.num_steps)
         for tensor in self.graph.tensors:
-            tensor_config.setdefault(tensor, self._clamp(tensor, default))
-
-        strategies = self._final_strategies(tensor_config)
+            if tensor not in tensor_config:
+                tensor_config[tensor] = self._clamp(tensor, self._zero)
         return best_cost, tensor_config, strategies
 
+    # --------------------------------------------------------------- compile
+    def _layout(self, gid: int, frontier: List[int]) -> _GroupLayout:
+        """Compile op group ``gid`` against the sorted ``frontier`` layout."""
+        touched = self.coarse.touched_by[gid]
+        first = self.first_toucher
+        fresh = [tg for tg in touched if first[tg] == gid]
+        decision_tgs = [tg for tg in fresh if self._is_decision_group(tg)]
+        internal_tgs = [tg for tg in fresh if not self._is_decision_group(tg)]
+        carried_tgs = [tg for tg in touched if first[tg] != gid]
+        position = {tg: i for i, tg in enumerate(frontier)}
+        missing = [tg for tg in carried_tgs if tg not in position]
+        if missing:
+            raise PartitionError(
+                f"tensor groups {missing} reached group {gid} unassigned"
+            )
+        for j, tg in enumerate(decision_tgs):
+            position[tg] = len(frontier) + j
+        dropped = {tg for tg in touched if self.last_toucher[tg] == gid}
+        next_frontier = sorted(
+            tg for tg in itertools.chain(frontier, decision_tgs) if tg not in dropped
+        )
+
+        # Internal temporaries follow the largest local tensor group (the
+        # first one on ties); with no local group, the all-zeros default,
+        # appended to the configuration vector as its tail.
+        local_tgs = carried_tgs + decision_tgs
+        ref_pos, ref_size = len(local_tgs), -1.0
+        for i, tg in enumerate(local_tgs):
+            size = self._group_bytes(tg)
+            if size > ref_size:
+                ref_pos, ref_size = i, size
+        slot_of = {tg: i for i, tg in enumerate(local_tgs)}
+        for tg in internal_tgs:
+            slot_of[tg] = ref_pos
+
+        # One (slot getter, kind) class per distinct pair among the members;
+        # ``order`` replays the members' costs in (step, member) order.
+        classes: Dict[Tuple, int] = {}
+        class_list: List[Tuple[Callable[[State], State], _NodeKind]] = []
+        class_of_member: List[int] = []
+        tg_of = self.coarse.tensor_group_of
+        members = self.coarse.op_group(gid).members
+        for node_name in members:
+            node = self.graph.node(node_name)
+            tensors = node.inputs + node.outputs
+            positions = tuple(slot_of[tg_of[t]] for t in tensors)
+            profiles = [
+                self.cost_model.node_profile(node_name, parts)
+                for parts in self.parts_per_step
+            ]
+            kind_key = tuple(map(id, profiles))
+            class_key = (positions, kind_key)
+            index = classes.get(class_key)
+            if index is None:
+                index = classes[class_key] = len(class_list)
+                kind = self._kinds.get(kind_key)
+                if kind is None:
+                    kind = self._kinds[kind_key] = self._kind(node, profiles)
+                class_list.append((_tuple_getter(positions), kind))
+            class_of_member.append(index)
+        num_steps = self.num_steps
+        order = [
+            index * num_steps + step
+            for step in range(num_steps)
+            for index in class_of_member
+        ]
+
+        combos = list(
+            itertools.product(*(self.group_candidates(tg) for tg in decision_tgs))
+        )
+        return _GroupLayout(
+            decision_tgs=decision_tgs,
+            internal_tgs=internal_tgs,
+            combos=combos,
+            local_of=_tuple_getter([position[tg] for tg in local_tgs]),
+            next_of=_tuple_getter([position[tg] for tg in next_frontier]),
+            next_frontier=next_frontier,
+            tail=(self._zero,) if ref_pos == len(local_tgs) else (),
+            ref_pos=ref_pos,
+            members=members,
+            classes=class_list,
+            class_of_member=class_of_member,
+            order=order,
+        )
+
+    def _table(self, profile: NodeProfile) -> CostTable:
+        table = self._tables.get(id(profile))
+        if table is None:
+            table = self._tables[id(profile)] = {}
+        return table
+
+    def _kind(self, node: OpNode, profiles: List[NodeProfile]) -> _NodeKind:
+        shapes = self.cost_model.shapes
+        caps = tuple(max(1, len(shapes[t])) - 1 for t in node.inputs + node.outputs)
+        steps = [
+            (self._table(profile), profile, parts)
+            for profile, parts in zip(profiles, self.parts_per_step)
+        ]
+        return _NodeKind({}, caps, len(node.inputs), steps)
+
     # ------------------------------------------------------------- expansion
-    def _expand_chunk(
-        self,
-        chunk: Sequence[Tuple[Tuple, float]],
-        context: Tuple,
-    ) -> Tuple[Dict[Tuple, float], Dict[Tuple, Tuple[Tuple, Dict[int, Config]]]]:
-        """Expand one ordered chunk of frontier states through one op group.
+    def _expand(
+        self, states: Dict[State, float], layout: _GroupLayout
+    ) -> Tuple[Dict[State, float], Dict[State, Tuple[State, State]]]:
+        """Expand every frontier state through one op group.
 
-        Returns the chunk's best cost per next-frontier key plus the
-        back-pointers, with keys in first-encounter order — the property the
-        parallel merge needs to reproduce the serial walk exactly.
+        Next states enter in first-encounter order and an equal key is
+        replaced only at strictly lower cost, so ties keep the earliest.
         """
-        gid, combos, decision_tgs, carried_tgs, internal_tgs, dropped = context
-        new_states: Dict[Tuple, float] = {}
-        pointers: Dict[Tuple, Tuple[Tuple, Dict[int, Config]]] = {}
-        for state_key, cost_so_far in chunk:
-            frontier = dict(state_key)
-            missing = [tg for tg in carried_tgs if tg not in frontier]
-            if missing:
-                # A carried tensor group must already be assigned; if not
-                # (can only happen for exotic graphs) treat it as a
-                # decision here.
-                raise PartitionError(
-                    f"tensor groups {missing} reached group {gid} unassigned"
-                )
+        new_states: Dict[State, float] = {}
+        pointers: Dict[State, Tuple[State, State]] = {}
+        group_costs: Dict[State, float] = {}
+        combos = layout.combos
+        local_of = layout.local_of
+        next_of = layout.next_of
+        for state, cost_so_far in states.items():
             for combo in combos:
-                decided = dict(zip(decision_tgs, combo))
-                local = {**{tg: frontier[tg] for tg in carried_tgs}, **decided}
-                group_cost, internal_cfg = self._group_cost(gid, local, internal_tgs)
+                src = state + combo
+                local = local_of(src)
+                group_cost = group_costs.get(local)
+                if group_cost is None:
+                    group_cost = group_costs[local] = self._group_cost(layout, local)
                 total = cost_so_far + group_cost
-                next_frontier = {
-                    tg: cfg for tg, cfg in frontier.items() if tg not in dropped
-                }
-                for tg, cfg in decided.items():
-                    if tg not in dropped:
-                        next_frontier[tg] = cfg
-                key = tuple(sorted(next_frontier.items()))
-                if key not in new_states or total < new_states[key]:
+                key = next_of(src)
+                best = new_states.get(key)
+                if best is None or total < best:
                     new_states[key] = total
-                    pointers[key] = (state_key, {**decided, **internal_cfg})
-        return new_states, pointers
-
-    def _expand_parallel(
-        self,
-        pool: ThreadPoolExecutor,
-        states: Dict[Tuple, float],
-        context: Tuple,
-    ) -> Tuple[Dict[Tuple, float], Dict[Tuple, Tuple[Tuple, Dict[int, Config]]]]:
-        """Fan contiguous state chunks across the pool and merge in order.
-
-        The merge replaces an entry only on *strictly* lower cost, so on ties
-        the earliest chunk — i.e. the earliest state in serial order — wins,
-        and keys enter the merged dict in global first-encounter order.  Both
-        invariants make the parallel expansion bit-identical to the serial
-        one, including the stable ``max_states`` pruning sort downstream.
-        The group-cost memo is shared across threads; whichever thread fills
-        an entry first, the value is deterministic.
-        """
-        items = list(states.items())
-        jobs = min(self.expand_jobs, len(items))
-        step = (len(items) + jobs - 1) // jobs
-        chunks = [items[i : i + step] for i in range(0, len(items), step)]
-        results = pool.map(lambda chunk: self._expand_chunk(chunk, context), chunks)
-        new_states: Dict[Tuple, float] = {}
-        pointers: Dict[Tuple, Tuple[Tuple, Dict[int, Config]]] = {}
-        for chunk_states, chunk_pointers in results:
-            for key, total in chunk_states.items():
-                if key not in new_states or total < new_states[key]:
-                    new_states[key] = total
-                    pointers[key] = chunk_pointers[key]
+                    pointers[key] = (state, combo)
         return new_states, pointers
 
     # ------------------------------------------------------------ group cost
-    def _group_cost(
-        self, gid: int, local: Mapping[int, Config], internal_tgs: Sequence[int]
-    ) -> Tuple[float, Dict[int, Config]]:
-        cache_key = (gid, tuple(sorted(local.items())))
-        cached = self._group_cost_cache.get(cache_key)
-        if cached is not None:
-            return cached
+    def _group_cost(self, layout: _GroupLayout, local: State) -> float:
+        cfgs = local + layout.tail
+        costs: List[float] = []
+        for key_of, kind in layout.classes:
+            key = key_of(cfgs)
+            per_step = kind.memo.get(key)
+            if per_step is None:
+                per_step = kind.memo[key] = tuple(
+                    [self._entry(kind, step, key)[1] for step in range(self.num_steps)]
+                )
+            costs.extend(per_step)
+        # A running left-to-right addition in (step, member) order, never
+        # sum(): Python 3.12's float sum() rounds differently.
+        return reduce(add, map(costs.__getitem__, layout.order), 0.0)
 
-        # Reference configuration for internal temporaries: the largest
-        # decided tensor group (typically the group's output activations).
-        ref_cfg: Optional[Config] = None
-        ref_size = -1.0
-        for tg, cfg in local.items():
-            size = sum(
-                self.cost_model.tensor_bytes(m)
-                for m in self.coarse.tensor_group(tg).members
+    def _entry(self, kind: _NodeKind, step: int, slot_cfgs: State) -> Tuple[str, float]:
+        """(best axis, cost) of one node of ``kind`` at ``step``, read from
+        the profile's strategy-cost table and filled on a miss."""
+        table, profile, parts = kind.steps[step]
+        dims = tuple([min(cfg[step], cap) for cfg, cap in zip(slot_cfgs, kind.caps)])
+        entry = table.get(dims)
+        if entry is None:
+            split = kind.num_inputs
+            entry = table[dims] = best_strategy(
+                profile, dims[:split], dims[split:], parts
             )
-            if size > ref_size:
-                ref_size = size
-                ref_cfg = cfg
-        if ref_cfg is None:
-            ref_cfg = tuple([0] * self.num_steps)
-
-        internal_cfg: Dict[int, Config] = {tg: ref_cfg for tg in internal_tgs}
-
-        tensor_config: Dict[str, Config] = {}
-        for tg, cfg in {**dict(local), **internal_cfg}.items():
-            for member in self.coarse.tensor_group(tg).members:
-                tensor_config[member] = self._clamp(member, cfg)
-
-        total = 0.0
-        members = self.coarse.op_group(gid).members
-        for step, parts in enumerate(self.parts_per_step):
-            step_dims = {t: cfg[step] for t, cfg in tensor_config.items()}
-            for node_name in members:
-                _, cost = self.cost_model.node_cost(node_name, step_dims, parts)
-                total += cost
-        result = (total, internal_cfg)
-        self._group_cost_cache[cache_key] = result
-        return result
+            self.cost_evals += 1
+        return entry
 
     def _clamp(self, tensor: str, cfg: Config) -> Config:
-        ndim = max(1, len(self.cost_model.shapes[tensor]))
-        return tuple(min(d, ndim - 1) for d in cfg)
-
-    def _final_strategies(self, tensor_config: Mapping[str, Config]) -> Dict[str, str]:
-        strategies: Dict[str, str] = {}
-        step_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
-        parts = self.parts_per_step[0]
-        for node_name in self.graph.nodes:
-            axis, _ = self.cost_model.node_cost(node_name, step_dims, parts)
-            strategies[node_name] = axis
-        return strategies
+        cap = max(1, len(self.cost_model.shapes[tensor])) - 1
+        return tuple([d if d < cap else cap for d in cfg])
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +420,15 @@ def dp_partition_step(
     parts: int,
     *,
     max_states: int = 256,
-    expand_jobs: int = 1,
 ) -> StepAssignment:
     """One recursive step: partition every tensor along one dimension across
-    ``parts`` worker groups, minimising communication.
-
-    ``expand_jobs > 1`` parallelises the frontier expansion across threads;
-    the returned assignment is bit-identical to the serial search.
-    """
-    dp = _FrontierDP(
+    ``parts`` worker groups, minimising communication."""
+    dp = _FrontierCore(
         graph,
         coarse,
         cost_model,
         parts_per_step=[parts],
         max_states=max_states,
-        expand_jobs=expand_jobs,
     )
     cost, tensor_config, strategies = dp.solve()
     tensor_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
@@ -371,30 +450,27 @@ def joint_partition(
     allow_reduction: bool = True,
     max_states: int = 256,
     time_limit: Optional[float] = None,
-    expand_jobs: int = 1,
 ) -> PartitionPlan:
     """Non-recursive search: choose all ``m`` partition dimensions per tensor
     jointly (the "DP with coarsening" row of Table 1).
 
     Exponentially slower than the recursive search; ``time_limit`` (seconds)
     raises :class:`SearchBudgetExceeded` when exceeded so benchmarks can report
-    a lower bound instead of hanging.  ``expand_jobs > 1`` parallelises the
-    frontier expansion (bit-identical plans).
+    a lower bound instead of hanging.
     """
-    start = time.time()
+    start = time.perf_counter()
     factors = factorize_workers(num_workers)
     if coarse is None:
         coarse = coarsen(graph)
     if cost_model is None:
         cost_model = CommunicationCostModel(graph, allow_reduction=allow_reduction)
-    dp = _FrontierDP(
+    dp = _FrontierCore(
         graph,
         coarse,
         cost_model,
         parts_per_step=factors,
         max_states=max_states,
         time_limit=time_limit,
-        expand_jobs=expand_jobs,
     )
     cost, tensor_config, strategies = dp.solve()
 
@@ -417,7 +493,7 @@ def joint_partition(
     plan = PartitionPlan(
         num_workers=num_workers,
         steps=steps,
-        search_time_seconds=time.time() - start,
+        search_time_seconds=time.perf_counter() - start,
         algorithm="dp-joint",
     )
     return plan
@@ -430,7 +506,7 @@ def count_joint_configurations(
 ) -> Dict[str, float]:
     """Size of the non-recursive search space, for the Table 1 report."""
     factors = factorize_workers(num_workers)
-    dp = _FrontierDP(coarse.graph, coarse, cost_model, parts_per_step=factors)
+    dp = _FrontierCore(coarse.graph, coarse, cost_model, parts_per_step=factors)
     per_group_max = 0.0
     total = 0.0
     for group in coarse.op_groups:

@@ -33,7 +33,6 @@ def recursive_partition(
     max_states: int = 256,
     coarsen_options: Optional[dict] = None,
     factors: Optional[Sequence[int]] = None,
-    expand_jobs: int = 1,
 ) -> PartitionPlan:
     """Find a partition plan for ``num_workers`` workers.
 
@@ -50,12 +49,8 @@ def recursive_partition(
         factors: Optional explicit factorisation ``k1, ..., km`` overriding
             the default descending prime factorisation; the planner's
             candidate search uses this to fan out alternative step orders.
-        expand_jobs: Threads for the frontier-DP state expansion *within* one
-            search step (1 = serial).  Parallel expansion returns plans
-            bit-identical to the serial path, so it never changes the answer
-            — only the wall-clock share one large request holds.
     """
-    start = time.time()
+    start = time.perf_counter()
     if num_workers < 1:
         raise PartitionError(f"invalid worker count {num_workers}")
     if factors is None:
@@ -82,8 +77,7 @@ def recursive_partition(
     for parts in factors:
         cost_model.set_shapes(shapes)
         step = dp_partition_step(
-            graph, coarse, cost_model, parts,
-            max_states=max_states, expand_jobs=expand_jobs,
+            graph, coarse, cost_model, parts, max_states=max_states
         )
         step.group_count = group_count
         step.weighted_bytes = step.comm_bytes * group_count
@@ -94,7 +88,7 @@ def recursive_partition(
     plan = PartitionPlan(
         num_workers=num_workers,
         steps=steps,
-        search_time_seconds=time.time() - start,
+        search_time_seconds=time.perf_counter() - start,
         algorithm="tofu-recursive" if allow_reduction else "tofu-no-reduction",
     )
     return plan

@@ -49,11 +49,6 @@ class PlannerConfig:
         jobs: Process-pool size for the candidate search (1 = in-process).
             Does not affect the plan found, only wall-clock time, so it is
             deliberately excluded from the cache key.
-        expand_jobs: Threads for the frontier-DP state expansion *inside* one
-            search (1 = serial) — the intra-search parallelism the compile
-            service uses so a single large request cannot monopolise a
-            worker.  Parallel expansion is bit-identical to serial, so it is
-            likewise excluded from the cache key.
         explore_factor_orders: For backends that support it, search every
             distinct ordering of the worker factorisation instead of only the
             descending-prime order (a no-op for power-of-two worker counts).
@@ -72,7 +67,6 @@ class PlannerConfig:
     backend: str = "tofu"
     backend_options: Mapping[str, object] = field(default_factory=dict)
     jobs: int = 1
-    expand_jobs: int = 1
     explore_factor_orders: bool = True
     cache_capacity: int = 128
     cache_dir: Optional[str] = None
@@ -140,13 +134,6 @@ class Planner:
 
         spec = get_backend(backend or self.config.backend)
         options = {**self.config.backend_options, **(backend_options or {})}
-        if (
-            self.config.expand_jobs > 1
-            and "expand_jobs" not in options
-            and spec.option_names is not None
-            and "expand_jobs" in spec.option_names
-        ):
-            options["expand_jobs"] = self.config.expand_jobs
         spec.validate_options(options)
         factors = factorize_workers(num_workers)
         explore = spec.supports_factor_orders and self.config.explore_factor_orders
@@ -187,11 +174,11 @@ class Planner:
         candidates = candidate_factorizations(num_workers)
         if len(candidates) == 1:
             return spec.search(graph, num_workers, factors=candidates[0], **options)
-        start = time.time()
+        start = time.perf_counter()
         plan = search_candidates(
             spec, graph, num_workers, candidates, options, jobs=self.config.jobs
         )
-        plan.search_time_seconds = time.time() - start
+        plan.search_time_seconds = time.perf_counter() - start
         return plan
 
     # ------------------------------------------------------------- simulate

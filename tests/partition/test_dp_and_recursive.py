@@ -1,7 +1,15 @@
 """Tests for the DP step, the recursive search, and the joint baseline."""
 
+import itertools
+import time
+
 import pytest
 
+from repro.baselines.partition_algos import (
+    allrow_greedy_plan,
+    equalchop_plan,
+    spartan_plan,
+)
 from repro.partition.coarsen import coarsen
 from repro.partition.cost import CommunicationCostModel
 from repro.partition.dp import (
@@ -11,6 +19,7 @@ from repro.partition.dp import (
 )
 from repro.partition.plan import factorize_workers
 from repro.partition.recursive import recursive_partition, step_costs_nondecreasing
+from repro.planner import Planner, PlannerConfig
 
 
 class TestDPStep:
@@ -107,3 +116,26 @@ class TestJointBaseline:
         stats = count_joint_configurations(coarse, cm, 8)
         assert stats["total_configs"] > coarse.num_op_groups()
         assert stats["max_configs_per_group"] >= 1
+
+
+class TestSearchClock:
+    def test_search_time_survives_a_wall_clock_step_back(
+        self, mlp_bundle, monkeypatch
+    ):
+        """Durations come from the monotonic clock: a wall clock stepping
+        backwards (an NTP correction) cannot make them negative."""
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "time", lambda: 1e9 - 3600.0 * next(ticks))
+        graph = mlp_bundle.graph
+        plans = [
+            recursive_partition(graph, 4),
+            joint_partition(graph, 4, time_limit=60.0),
+            # Six workers have two factor orders: the planner times the
+            # candidate search itself.
+            Planner(PlannerConfig(cache_capacity=0)).plan(graph, 6),
+            equalchop_plan(graph, 4),
+            spartan_plan(graph, 4),
+            allrow_greedy_plan(graph, 4),
+        ]
+        for plan in plans:
+            assert plan.search_time_seconds >= 0.0, plan.algorithm

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.autodiff import build_backward, build_optimizer
 from repro.graph.builder import GraphBuilder
-from repro.partition.plan import factorize_workers
+from repro.partition.plan import factorize_workers, plan_to_dict
 from repro.partition.recursive import recursive_partition, step_costs_nondecreasing
+
+from tests.partition.reference_dp import reference_core
 
 
 def _make_mlp(batch, hidden, layers):
@@ -86,3 +88,23 @@ def test_reduction_strategies_never_hurt(hidden):
     with_reduction = recursive_partition(graph, 8, allow_reduction=True)
     without = recursive_partition(graph, 8, allow_reduction=False)
     assert with_reduction.total_comm_bytes <= without.total_comm_bytes * 1.001
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    hidden=st.sampled_from([16, 48, 64, 96]),
+    layers=st.integers(min_value=1, max_value=4),
+    workers=st.sampled_from([2, 3, 4, 6, 8]),
+)
+def test_compiled_core_matches_reference(hidden, layers, workers):
+    """The compiled frontier DP finds the reference DP's plan, bit for bit."""
+    graph, _ = _make_mlp(16, hidden, layers)
+
+    def search():
+        payload = plan_to_dict(recursive_partition(graph, workers))
+        payload.pop("search_time_seconds")
+        return payload
+
+    compiled = search()
+    with reference_core():
+        assert search() == compiled
