@@ -71,6 +71,10 @@ ERROR_CODES: Dict[str, str] = {
         "tofu-repro verify's argument is neither a saved-model file nor a "
         "cached program key"
     ),
+    "ANA015_UNDECODABLE_ARTIFACT": (
+        "tofu-repro verify's cached program key names an entry this library "
+        "version cannot decode (an older payload version, or corrupt)"
+    ),
 }
 
 

@@ -12,11 +12,13 @@ format name.
 
 Content-address helpers (:func:`graph_signature`, :func:`machine_signature`,
 :func:`content_key`) also live here so both key schemes hash identical
-inputs identically.
+inputs identically; :func:`signature_memo` lets one request hash its graph
+once for all of them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import glob
 import hashlib
@@ -25,21 +27,77 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from contextvars import ContextVar
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.graph.serialization import graph_to_dict
 from repro.sim.device import Topology
 
+T = TypeVar("T")
+
+#: What a payload codec raises on an entry it cannot decode: a wrong
+#: version or a malformed column (a library error), a missing field
+#: (``KeyError``), a mistyped or ragged one (``TypeError``, ``ValueError``,
+#: ``IndexError``, ``AttributeError``).  The caches turn each into a miss.
+DECODE_ERRORS = (
+    ReproError, KeyError, TypeError, ValueError, IndexError, AttributeError
+)
 
 # ---------------------------------------------------------------------------
 # Content addressing
 # ---------------------------------------------------------------------------
+#: The memo :func:`signature_memo` activates: ``id(graph) -> (graph,
+#: signature)``.  Holding the graph keeps its id from being reused while
+#: the memo lives.
+SignatureMemo = Dict[int, Tuple[Graph, str]]
+
+_SIGNATURE_MEMO: ContextVar[Optional[SignatureMemo]] = ContextVar(
+    "graph_signature_memo", default=None
+)
+
+
+@contextlib.contextmanager
+def signature_memo(memo: Optional[SignatureMemo] = None):
+    """Hash each graph object at most once inside the block.
+
+    One compile request hashes its graph for several keys (the service's
+    request key, the plan key, the program key); under a memo each repeat
+    is a lookup.  The memo is keyed by graph identity, so it must not
+    outlive the request: a graph edited between two compiles has to be
+    hashed again.  ``repro.compile`` opens one per call, and
+    ``CompileService`` one per request, passed from ``submit`` to the
+    worker thread as ``memo``.  Without ``memo`` a block nested in an
+    active memo shares it.  Usable as a decorator.
+    """
+    if memo is None:
+        memo = _SIGNATURE_MEMO.get()
+        if memo is None:
+            memo = {}
+    token = _SIGNATURE_MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _SIGNATURE_MEMO.reset(token)
+
+
 def graph_signature(graph: Graph) -> str:
-    """Content hash of a graph (tensors, nodes, attrs, metadata)."""
+    """Content hash of a graph (tensors, nodes, attrs, metadata).
+
+    Inside :func:`signature_memo` a graph already hashed returns its
+    memoised signature.
+    """
+    memo = _SIGNATURE_MEMO.get()
+    if memo is not None:
+        seen = memo.get(id(graph))
+        if seen is not None and seen[0] is graph:
+            return seen[1]
     payload = json.dumps(graph_to_dict(graph), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if memo is not None:
+        memo[id(graph)] = (graph, signature)
+    return signature
 
 
 def machine_signature(machine: Optional[Topology]) -> str:
@@ -81,7 +139,9 @@ class TwoTierCache:
     Payloads are plain dictionaries; value↔payload conversion (e.g.
     ``plan_to_dict``/``plan_from_dict``) belongs to the subclass, which keeps
     the invariant that every hit reconstructs a fresh object — callers can
-    mutate what they get back without corrupting the store.
+    mutate what they get back without corrupting the store.  Subclass
+    ``get`` decodes through :meth:`_get_decoded`, so a payload the codec
+    rejects is a counted miss rather than an exception.
 
     The store is thread-safe: one re-entrant lock guards the memory LRU and
     the disk accounting (eviction counter, budget sweeps), so the compile
@@ -110,6 +170,7 @@ class TwoTierCache:
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
+        self.decode_errors = 0
         self.disk_evictions = 0
         if cache_dir:
             try:
@@ -139,6 +200,7 @@ class TwoTierCache:
             info: Dict[str, object] = {
                 "hits": self.hits,
                 "misses": self.misses,
+                "decode_errors": self.decode_errors,
                 "hit_rate": self.hit_rate(),
                 "size": len(self._memory),
             }
@@ -155,18 +217,39 @@ class TwoTierCache:
     # ------------------------------------------------------------- payloads
     def get_payload(self, key: str) -> Optional[Dict]:
         """The stored payload under ``key`` (memory first, then disk)."""
+        return self._get_decoded(key, lambda payload: payload)
+
+    def _get_decoded(self, key: str, decode: Callable[[Dict], T]) -> Optional[T]:
+        """``decode`` of the payload under ``key``, or ``None`` on a miss.
+
+        An entry ``decode`` rejects (any of :data:`DECODE_ERRORS`: an older
+        payload version, a missing field, a ragged column) counts as a miss
+        and in ``decode_errors``, and leaves the memory tier, so the caller
+        recomputes the value and its put overwrites the entry.
+        """
         with self._lock:
             payload = self._memory.get(key)
             if payload is not None:
                 self._memory.move_to_end(key)
+            else:
+                payload = self._disk_get(key)
+                if payload is not None:
+                    self._memory_put(key, payload)
+        value = None
+        if payload is not None:
+            try:
+                value = decode(payload)
+            except DECODE_ERRORS:
+                pass  # counted below
+        with self._lock:
+            if value is not None:
                 self.hits += 1
-                return payload
-            payload = self._disk_get(key)
-            if payload is not None:
-                self._memory_put(key, payload)
-                self.hits += 1
-                return payload
+                return value
             self.misses += 1
+            if payload is not None:
+                self.decode_errors += 1
+                if self._memory.get(key) is payload:
+                    del self._memory[key]
             return None
 
     def put_payload(self, key: str, payload: Dict) -> None:
@@ -289,6 +372,7 @@ class TwoTierCache:
             self._memory.clear()
             self.hits = 0
             self.misses = 0
+            self.decode_errors = 0
             self.disk_evictions = 0
             if self.cache_dir:
                 for path in glob.glob(os.path.join(self.cache_dir, "*.json")):

@@ -581,6 +581,13 @@ def cmd_verify(args) -> int:
     else:
         cache = ProgramCache(cache_dir=args.program_cache_dir)
         program = cache.get(artifact)
+        if cache.decode_errors:
+            raise AnalysisError(
+                f"cached program {artifact!r} cannot be decoded by this "
+                f"library version (written by another, or corrupt); the "
+                f"next compile of its request re-lowers it",
+                code="ANA015_UNDECODABLE_ARTIFACT",
+            )
         if program is None:
             hint = (
                 ""

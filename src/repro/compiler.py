@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro import perf
+from repro.caching import signature_memo
 from repro.errors import ExecutionError, PartitionError, StrategyError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
@@ -298,6 +299,10 @@ def _attach_profile(model: CompiledModel, executor: Executor) -> None:
         model.metadata["profile"] = executor.profile_timer.snapshot()
 
 
+# One graph hash per call: the plan key, the program key and every tuner
+# candidate's keys share the signature of ``graph`` (and a service request
+# shares its own, computed for the request key).
+@signature_memo()
 def compile(
     graph: Graph,
     strategy: Union[Strategy, str] = "tofu",

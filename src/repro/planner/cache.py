@@ -128,11 +128,9 @@ class PlanCache(TwoTierCache):
 
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[PartitionPlan]:
-        """The cached plan under ``key``, or ``None`` on a miss."""
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        return plan_from_dict(payload)
+        """The cached plan under ``key``, or ``None`` on a miss (an entry
+        that does not decode is a miss too)."""
+        return self._get_decoded(key, plan_from_dict)
 
     # ------------------------------------------------------------------ put
     def put(self, key: str, plan: PartitionPlan) -> None:

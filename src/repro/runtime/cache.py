@@ -125,11 +125,9 @@ class ProgramCache(TwoTierCache):
 
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[LoweredProgram]:
-        """The cached program under ``key``, or ``None`` on a miss."""
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        return program_from_dict(payload)
+        """The cached program under ``key``, or ``None`` on a miss (an entry
+        that does not decode is a miss too)."""
+        return self._get_decoded(key, program_from_dict)
 
     # ------------------------------------------------------------------ put
     def put(self, key: str, program: LoweredProgram) -> None:

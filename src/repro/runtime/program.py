@@ -12,9 +12,12 @@ backends and the :class:`repro.planner.Planner`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
+from repro.errors import ExecutionError
 from repro.sim.device import Link, Topology
 from repro.sim.engine import FrozenTaskGraph, Task
 
@@ -23,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (apply uses passes)
     from repro.partition.plan import PartitionPlan
     from repro.runtime.passes import PipelineSchedule
 
-PROGRAM_PAYLOAD_VERSION = 1
+PROGRAM_PAYLOAD_VERSION = 2
 
 
 @dataclass
@@ -148,67 +151,120 @@ class LoweredProgram:
 # ---------------------------------------------------------------------------
 # Serialization — what the lowered-program cache stores
 # ---------------------------------------------------------------------------
-def _task_to_dict(task: Task) -> Dict:
-    link = task.link
-    return {
-        "name": task.name,
-        "device": task.device,
-        "kind": task.kind,
-        "duration": task.duration,
-        "comm_bytes": task.comm_bytes,
-        "channel": task.channel,
-        "deps": list(task.deps),
-        "after": list(task.after),
-        "link": None if link is None else {
-            "kind": link.kind,
-            "key": link.key,
-            "bandwidth": link.bandwidth,
-            "latency": link.latency,
-        },
-        "src_device": task.src_device,
-        "dst_device": task.dst_device,
-        "comm_time": task.comm_time,
-    }
+def _csr_column(
+    refs_of_tasks, slot_of: Dict[str, int], extern: List[str], num_tasks: int
+) -> Dict[str, List[int]]:
+    """One dependency stream as CSR: ``offsets`` (one more than there are
+    tasks) and flat ``index`` slots — a task's position in emission order,
+    or ``num_tasks + j`` for ``extern[j]``, a name outside the program."""
+    offsets = [0]
+    index: List[int] = []
+    for refs in refs_of_tasks:
+        for ref in refs:
+            slot = slot_of.get(ref)
+            if slot is None:
+                slot = slot_of[ref] = num_tasks + len(extern)
+                extern.append(ref)
+            index.append(slot)
+        offsets.append(len(index))
+    return {"offsets": offsets, "index": index}
 
 
-def _task_from_dict(payload: Mapping) -> Task:
-    link = payload.get("link")
-    return Task(
-        name=payload["name"],
-        device=payload["device"],
-        kind=payload["kind"],
-        duration=payload["duration"],
-        comm_bytes=payload["comm_bytes"],
-        channel=payload["channel"],
-        deps=tuple(payload["deps"]),
-        after=tuple(payload["after"]),
-        link=None if link is None else Link(**link),
-        src_device=payload.get("src_device"),
-        dst_device=payload.get("dst_device"),
-        comm_time=payload.get("comm_time"),
-    )
+def _csr_decode(
+    column: Mapping, names: List[str], num_tasks: int, field_name: str
+) -> List[tuple]:
+    """The per-task name tuples of one :func:`_csr_column` stream; a ragged
+    or out-of-range column raises :class:`ExecutionError`."""
+    offsets, index = column["offsets"], column["index"]
+    if (
+        len(offsets) != num_tasks + 1
+        or offsets[0] != 0
+        or offsets[-1] != len(index)
+        or not all(map(operator.le, offsets, islice(offsets, 1, None)))
+    ):
+        raise ExecutionError(
+            f"malformed lowered-program payload: {field_name!r} offsets do "
+            f"not partition its {len(index)} indices over {num_tasks} tasks"
+        )
+    if index and (min(index) < 0 or max(index) >= len(names)):
+        raise ExecutionError(
+            f"malformed lowered-program payload: {field_name!r} indexes past "
+            f"its {len(names)} task and extern names"
+        )
+    if not index:
+        return [()] * num_tasks
+    refs = [names[slot] for slot in index]
+    return [tuple(refs[lo:hi]) for lo, hi in zip(offsets, islice(offsets, 1, None))]
 
 
 def program_to_dict(program: LoweredProgram) -> Dict:
     """JSON-serialisable form of a lowered program; inverse of
     :func:`program_from_dict`.
 
-    Everything is content, nothing is identity: tasks (with resolved links
-    and both dependency streams, in scheduling order), the memory report,
+    Everything is content, nothing is identity: tasks (in scheduling
+    order), the links they ride, both dependency streams, the memory report,
     the partition plan, the priced machine model, the pipeline schedule, and
     the partitioned-graph detail.  JSON round-trips floats exactly
     (``repr``-based shortest encoding), so a reconstructed program simulates
     bit-identically to the one that was stored — the property the
     lowered-program cache's parity suite pins.
+
+    Layout (version 2): ``tasks`` holds one flat dict of scalars per task,
+    whose ``link`` is a row of the ``links`` table (``[kind, key,
+    bandwidth, latency]``, one row per distinct link).  ``deps`` and
+    ``after`` are CSR columns over the task list (:func:`_csr_column`);
+    ``extern`` names what they reference outside the program, so an
+    invalid program stays representable.  A task costs one container,
+    which the cyclic garbage collector does not track (its values are all
+    scalars), instead of a dict and two lists.
     """
     from repro.partition.plan import plan_to_dict
     from repro.sim.device import machine_to_dict
 
+    tasks = list(program.tasks.values())
+    links: List[list] = []
+    row_of_link: Dict[tuple, int] = {}
+    rows = []
+    for task in tasks:
+        link = task.link
+        row = None
+        if link is not None:
+            # repr keeps -0.0 and int/float bandwidths apart, which Link
+            # equality would merge.
+            content = (link.kind, link.key, repr(link.bandwidth), repr(link.latency))
+            row = row_of_link.get(content)
+            if row is None:
+                row = row_of_link[content] = len(links)
+                links.append([link.kind, link.key, link.bandwidth, link.latency])
+        rows.append(
+            {
+                "name": task.name,
+                "device": task.device,
+                "kind": task.kind,
+                "duration": task.duration,
+                "comm_bytes": task.comm_bytes,
+                "channel": task.channel,
+                "link": row,
+                "src_device": task.src_device,
+                "dst_device": task.dst_device,
+                "comm_time": task.comm_time,
+            }
+        )
+    slot_of = {task.name: slot for slot, task in enumerate(tasks)}
+    extern: List[str] = []
     payload: Dict = {
         "version": PROGRAM_PAYLOAD_VERSION,
         "backend": program.backend,
         "num_devices": program.num_devices,
-        "tasks": [_task_to_dict(task) for task in program.tasks.values()],
+        "tasks": rows,
+        "links": links,
+        "deps": _csr_column(
+            (task.deps for task in tasks), slot_of, extern, len(tasks)
+        ),
+        "after": _csr_column(
+            (task.after for task in tasks), slot_of, extern, len(tasks)
+        ),
+        "extern": extern,
         "per_device_memory": {
             str(device): int(required)
             for device, required in program.per_device_memory.items()
@@ -261,9 +317,13 @@ def program_to_dict(program: LoweredProgram) -> Dict:
 
 
 def program_from_dict(payload: Mapping) -> LoweredProgram:
-    """Rebuild a :class:`LoweredProgram` from :func:`program_to_dict` output."""
-    from repro.errors import ExecutionError
+    """Rebuild a :class:`LoweredProgram` from :func:`program_to_dict` output.
 
+    A payload this version cannot decode raises: :class:`ExecutionError` for
+    a wrong ``version``, a ragged or out-of-range column, or a short link
+    row; ``KeyError``/``TypeError`` for a missing or mistyped field.  The
+    caches treat all of them as a miss (:data:`repro.caching.DECODE_ERRORS`).
+    """
     version = payload.get("version")
     if version != PROGRAM_PAYLOAD_VERSION:
         raise ExecutionError(
@@ -274,7 +334,48 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
     from repro.runtime.passes import PipelineSchedule
     from repro.sim.device import machine_from_dict
 
-    tasks = {entry["name"]: _task_from_dict(entry) for entry in payload["tasks"]}
+    rows = payload["tasks"]
+    link_of = {None: None}
+    for slot, row in enumerate(payload["links"]):
+        if len(row) != 4:
+            raise ExecutionError(
+                f"malformed lowered-program payload: link row {slot} has "
+                f"{len(row)} fields, not 4"
+            )
+        link_of[slot] = Link(*row)
+    fields = operator.itemgetter(
+        "name",
+        "device",
+        "kind",
+        "duration",
+        "comm_bytes",
+        "channel",
+        "link",
+        "src_device",
+        "dst_device",
+        "comm_time",
+    )
+    scalars = list(map(fields, rows))
+    names = [values[0] for values in scalars] + list(payload["extern"])
+    deps = _csr_decode(payload["deps"], names, len(rows), "deps")
+    after = _csr_decode(payload["after"], names, len(rows), "after")
+    tasks = {}
+    for values, task_deps, task_after in zip(scalars, deps, after):
+        name, device, kind, duration, comm_bytes, channel, link, src, dst, comm = values
+        tasks[name] = Task(
+            name,
+            device,
+            kind,
+            duration,
+            comm_bytes,
+            channel,
+            task_deps,
+            task_after,
+            link_of[link],
+            src,
+            dst,
+            comm,
+        )
     plan = (
         None if payload.get("plan") is None
         else plan_from_dict(payload["plan"])

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro import compiler, perf
+from repro.caching import SignatureMemo, signature_memo
 from repro.errors import ReproError, StrategyError
 from repro.planner.core import Planner, PlannerConfig
 from repro.runtime.cache import ProgramCache
@@ -142,8 +143,12 @@ class CompileService:
         request whose options defeat content addressing (non-JSON values)
         runs unshared.
         """
+        # The request key hashes the graph; the worker's compile reuses
+        # that signature for its plan and program keys.
+        memo: SignatureMemo = {}
         try:
-            key = request.key()
+            with signature_memo(memo):
+                key = request.key()
         except (TypeError, ReproError):
             # Unkeyable request (non-JSON options, unparseable strategy):
             # run it unshared — the compile itself will report the error.
@@ -162,7 +167,7 @@ class CompileService:
                         leader=False,
                         request_id=request.request_id,
                     )
-            future = self._pool.submit(self._compile, request, key)
+            future = self._pool.submit(self._compile, request, key, memo)
             if key:
                 self._inflight[key] = future
                 future.add_done_callback(lambda _done, _key=key: self._retire(_key))
@@ -198,25 +203,28 @@ class CompileService:
         return Tuner(budget=TunerBudget.from_dict(options), jobs=jobs)
 
     # --------------------------------------------------------------- compile
-    def _compile(self, request: CompileRequest, key: str) -> CompileResponse:
+    def _compile(
+        self, request: CompileRequest, key: str, memo: SignatureMemo
+    ) -> CompileResponse:
         start = time.perf_counter()
         executor = Executor(ExecutorConfig(profile=True, verify=self.verify))
         # Swap the fresh executor's private cache for the service-wide one;
         # profiling stays per-request, the warm tier stays shared.
         executor.program_cache = self.program_cache
         try:
-            model = compiler.compile(
-                request.graph,
-                request.strategy,
-                request.machine,
-                num_workers=request.num_workers,
-                planner=self.planner,
-                executor=executor,
-                plan_options=request.plan_options,
-                backend_options=request.backend_options,
-                simulate=request.simulate,
-                tuner=self._build_tuner(request),
-            )
+            with signature_memo(memo):
+                model = compiler.compile(
+                    request.graph,
+                    request.strategy,
+                    request.machine,
+                    num_workers=request.num_workers,
+                    planner=self.planner,
+                    executor=executor,
+                    plan_options=request.plan_options,
+                    backend_options=request.backend_options,
+                    simulate=request.simulate,
+                    tuner=self._build_tuner(request),
+                )
             payload = model.to_dict()
             status, error = "ok", None
         except ReproError as exc:

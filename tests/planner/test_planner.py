@@ -3,6 +3,8 @@ candidate search, and the facade's end-to-end flow."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import PartitionError
@@ -252,6 +254,27 @@ class TestPlanCache:
             path.write_text("not json")
         replanned = Planner(config).plan(mlp_bundle.graph, 4)
         assert _same_search(plan, replanned)
+
+    def test_entry_missing_a_field_is_a_counted_miss(self, tmp_path, mlp_bundle):
+        import repro
+
+        config = PlannerConfig(cache_dir=str(tmp_path))
+        first = repro.compile(mlp_bundle.graph, "tofu", num_workers=4,
+                              planner=Planner(config))
+        for path in tmp_path.glob("*.json"):
+            entry = json.loads(path.read_text())
+            del entry["plan"]["num_workers"]
+            path.write_text(json.dumps(entry))
+        planner = Planner(config)
+        again = repro.compile(mlp_bundle.graph, "tofu", num_workers=4,
+                              planner=planner)
+        info = planner.cache.info()
+        assert (info["hits"], info["misses"], info["decode_errors"]) == (0, 1, 1)
+        assert _same_search(first.plan, again.plan)
+        assert again.iteration_time == first.iteration_time
+        # The re-search overwrote the entry.
+        [key] = planner.cache.snapshot_payloads()
+        assert Planner(config).cache.get(key) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,15 @@ JSON round-trips floats through ``repr`` (shortest-exact), so no tolerance.
 
 from __future__ import annotations
 
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.models.mlp import build_mlp
 from repro.partition.recursive import recursive_partition
 from repro.runtime import (
     Executor,
@@ -23,7 +30,9 @@ from repro.runtime import (
     program_to_dict,
 )
 from repro.runtime.passes import round_robin_layer_placement
-from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
+from repro.runtime.program import LoweredProgram
+from repro.sim.device import ClusterSpec, Link, cluster_of, k80_8gpu_machine
+from repro.sim.engine import Task, task_graph_fingerprint
 
 MACHINE = k80_8gpu_machine(4)
 CLUSTER = ClusterSpec(machines=[MACHINE])
@@ -216,3 +225,173 @@ def test_export_import_round_trip(tmp_path, mlp_bundle):
         simulator.simulate(restored, MACHINE)
         == simulator.simulate(fresh, MACHINE)
     )
+
+
+# ------------------------------------------------------------- payload codec
+
+# Names mix the separators lowering uses with non-ASCII; ':' never occurs,
+# so an "ext:"-prefixed reference always dangles.
+NAMES = st.text(alphabet="ab01@#_é中", min_size=1, max_size=6)
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e-310, 1.5]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def programs(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=10, unique=True))
+    shared = Link("p2p", "p2p:1", draw(FLOATS), draw(FLOATS))
+    # Same key, different bandwidth: a link the table must not merge.
+    rival = Link(
+        "p2p", "p2p:1",
+        draw(FLOATS.filter(lambda b: repr(b) != repr(shared.bandwidth))),
+        shared.latency,
+    )
+    refs = st.one_of(
+        st.sampled_from(names), NAMES.map(lambda name: "ext:" + name)
+    )
+    devices = st.one_of(st.none(), st.integers(0, 7))
+    tasks = {}
+    for name in names:
+        tasks[name] = Task(
+            name,
+            draw(st.integers(-1, 7)),
+            draw(st.sampled_from(["compute", "comm"])),
+            draw(FLOATS),
+            draw(FLOATS),
+            draw(st.sampled_from(["p2p", "cpu", "net"])),
+            tuple(draw(st.lists(refs, max_size=3))),
+            tuple(draw(st.lists(refs, max_size=2))),
+            draw(st.sampled_from([None, shared, rival])),
+            draw(devices),
+            draw(devices),
+            draw(st.one_of(st.none(), FLOATS)),
+        )
+    return LoweredProgram(
+        backend="single-device", num_devices=8, tasks=tasks,
+        per_device_memory={0: 1},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs())
+def test_codec_round_trips_tasks_exactly(program):
+    payload = json.loads(json.dumps(program_to_dict(program)))
+    clone = program_from_dict(payload)
+    assert list(clone.tasks) == list(program.tasks)
+    # repr tells -0.0 from 0.0; equality alone would not.
+    assert repr(list(clone.tasks.values())) == repr(list(program.tasks.values()))
+    assert task_graph_fingerprint(clone.tasks) == task_graph_fingerprint(
+        program.tasks
+    )
+    for task in clone.tasks.values():
+        assert type(task.deps) is tuple and type(task.after) is tuple
+    # One shared Link object per links-table row.
+    decoded = {
+        (id(original.link), id(twin.link))
+        for original, twin in zip(program.tasks.values(), clone.tasks.values())
+        if original.link is not None
+    }
+    assert len({twin for _, twin in decoded}) == len({orig for orig, _ in decoded})
+
+
+def _containers(value) -> int:
+    if isinstance(value, dict):
+        return 1 + sum(_containers(item) for item in value.values())
+    if isinstance(value, list):
+        return 1 + sum(_containers(item) for item in value)
+    return 0
+
+
+def test_payload_holds_one_container_per_task(rnn_bundle):
+    options, plan = _backend_setup("tofu-partitioned", rnn_bundle.graph)
+    program = Executor(ExecutorConfig(cache_programs=False)).lower(
+        rnn_bundle.graph, plan=plan, machine=MACHINE,
+        backend="tofu-partitioned", backend_options=options,
+    )
+    payload = program_to_dict(program)
+    del payload["partitioned"]
+    assert _containers(payload) <= len(program.tasks) + 64
+
+
+# ----------------------------------------------------------- decode errors
+
+V1_ENTRY = Path(__file__).resolve().parent.parent / "data" / "cache" / "program_v1.json"
+
+
+def _small_mlp():
+    return build_mlp(batch_size=8, input_dim=32, hidden_dim=32, num_layers=2,
+                     num_classes=8).graph
+
+
+def test_v1_entry_is_a_counted_miss_then_relowered(tmp_path):
+    """A disk entry of the version-1 layout (``program_v1.json``, written by
+    that codec for this very request) is re-lowered and overwritten."""
+    graph = _small_mlp()
+    entry = json.loads(V1_ENTRY.read_text(encoding="utf-8"))
+    assert entry["program"]["version"] == 1
+    (tmp_path / f"{entry['key']}.json").write_text(json.dumps(entry))
+
+    def compile_with(executor):
+        return repro.compile(graph, "pipeline:2:1f1b:2", num_workers=2,
+                             executor=executor)
+
+    executor = Executor(ExecutorConfig(program_cache_dir=str(tmp_path)))
+    model = compile_with(executor)
+    info = executor.program_cache.info()
+    assert (info["hits"], info["misses"], info["decode_errors"]) == (0, 1, 1)
+    fresh = compile_with(Executor(ExecutorConfig(cache_programs=False)))
+    assert model.iteration_time == fresh.iteration_time
+
+    rewritten = Executor(ExecutorConfig(program_cache_dir=str(tmp_path)))
+    assert compile_with(rewritten).iteration_time == fresh.iteration_time
+    info = rewritten.program_cache.info()
+    assert (info["hits"], info["misses"], info["decode_errors"]) == (1, 0, 0)
+
+
+def _truncate_offsets(payload):
+    payload["deps"]["offsets"].pop()
+
+
+def _index_past_end(payload):
+    payload["deps"]["index"][0] = len(payload["tasks"]) + len(payload["extern"])
+
+
+def _negative_index(payload):
+    payload["deps"]["index"][0] = -1
+
+
+def _link_past_end(payload):
+    next(row for row in payload["tasks"] if row["link"] is not None)["link"] = 99
+
+
+def _short_link_row(payload):
+    payload["links"][0].pop()
+
+
+def _missing_field(payload):
+    del payload["tasks"][0]["duration"]
+
+
+def _old_version(payload):
+    payload["version"] = 0
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate_offsets, _index_past_end, _negative_index, _link_past_end,
+    _short_link_row, _missing_field, _old_version,
+])
+def test_undecodable_payload_is_a_counted_miss(rnn_bundle, corrupt):
+    program = Executor(ExecutorConfig(cache_programs=False)).lower(
+        rnn_bundle.graph, machine=MACHINE, backend="pipeline",
+        backend_options={"num_stages": 2, "num_microbatches": 2},
+    )
+    payload = program_to_dict(program)
+    corrupt(payload)
+    cache = ProgramCache(capacity=4)
+    cache.put_payload("entry", payload)
+    assert cache.get("entry") is None
+    info = cache.info()
+    assert (info["hits"], info["misses"], info["decode_errors"]) == (0, 1, 1)
+    assert info["size"] == 0  # dropped, so a re-lowering's put replaces it
